@@ -9,7 +9,7 @@ linear-relation question 2aH + bK = 0 symbolically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curvature import (
@@ -38,6 +38,8 @@ class Classification:
     # For a non-Weingarten surface: one nonzero monomial (coeff, i, j) of the
     # condition polynomial; it is nonzero at any point with u, v != 0.
     witness: tuple[Fraction, int, int] | None = None
+    # The Weingarten condition polynomial the decision was made on.
+    condition: Poly2 | None = field(default=None, compare=False, repr=False)
 
 
 class LWOutcome(enum.Enum):
@@ -70,12 +72,14 @@ def classify_pt(f_prime: Poly2, g_prime: Poly2) -> Classification:
     gen = PolyGenerators(f_prime, g_prime)
     condition = jacobian_direct(gen)
     if not condition.is_zero:
-        return Classification(SurfaceClass.NOT_WEINGARTEN, witness=_pick_witness(condition))
+        return Classification(
+            SurfaceClass.NOT_WEINGARTEN, witness=_pick_witness(condition), condition=condition
+        )
 
     alpha_p = gen.alpha.diff("u")
     beta_p = gen.beta.diff("v")
     if alpha_p.is_zero or beta_p.is_zero:
-        return Classification(SurfaceClass.CYLINDER_OR_PLANE)
+        return Classification(SurfaceClass.CYLINDER_OR_PLANE, condition=condition)
 
     # Remaining case: degree-1 generators with equal slopes.
     if gen.m != 1 or gen.n != 1:
@@ -91,7 +95,9 @@ def classify_pt(f_prime: Poly2, g_prime: Poly2) -> Classification:
     a = abs(slope_u) / 2
     u0 = -b_u / slope_u
     v0 = -b_v / slope_v
-    return Classification(SurfaceClass.PARABOLOID_OF_REVOLUTION, params=(a, u0, v0))
+    return Classification(
+        SurfaceClass.PARABOLOID_OF_REVOLUTION, params=(a, u0, v0), condition=condition
+    )
 
 
 def relation1_residual(

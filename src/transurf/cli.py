@@ -25,7 +25,6 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .classify import SurfaceClass, classify_pt, relation1_residual
-from .curvature import PolyGenerators, jacobian_direct
 from .expr import NotPolynomialError, ParseError, expr_to_poly, parse_expr
 from .mesh import write_mesh
 from .numeric import eval_curvatures, grid_points, lw_fit, numeric_weingarten_test
@@ -73,7 +72,7 @@ def cmd_classify(args) -> int:
     alpha = f_poly.diff("u")
     beta = g_poly.diff("v")
     result = classify_pt(alpha, beta)
-    condition = jacobian_direct(PolyGenerators(alpha, beta))
+    condition = result.condition
     text = str(condition)
     if len(text) > 200:
         text = text[:200] + f"... ({len(condition.terms)} terms)"
@@ -117,10 +116,14 @@ def cmd_weingarten(args) -> int:
     f, g = _parse_pair(args)
     grid = grid_points(args.rect, args.n)
     result = numeric_weingarten_test(f, g, grid, tol=args.tol)
-    verdict = "passes" if result.passed else "fails"
+    if not result.samples:
+        verdict = "no evaluable points"
+    else:
+        verdict = "passes" if result.passed else "fails"
     print(f"weingarten jacobian test: {verdict}")
-    print(f"  max |jacobian| = {result.max_abs!r} at {result.argmax}")
-    print(f"  gradient scale = {result.scale!r}, tol = {args.tol}")
+    if result.samples:
+        print(f"  max |jacobian| = {result.max_abs!r} at {result.argmax}")
+        print(f"  gradient scale = {result.scale!r}, tol = {args.tol}")
     if result.skipped:
         print(f"  skipped {result.skipped} singular grid points")
     if args.field:
@@ -141,6 +144,8 @@ def cmd_weingarten(args) -> int:
         "skipped": result.skipped,
     }
     _emit(report, args.out)
+    if not result.samples:
+        return 2
     return 0 if result.passed else 1
 
 

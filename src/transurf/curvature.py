@@ -18,14 +18,19 @@ cross-checked against each other:
 The same fixed term tables drive exact polynomial expansion, floating-point
 evaluation and formal power-law substitution, so an entry error in either
 table would be caught by any one of the three consumers.
+
+A :class:`PolyGenerators` value builds its derivatives, D, the H and K
+expressions and the second-curvature numerator once, on first use, and
+keeps them for every later query about the same surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .poly import Poly2
+from .poly import Poly2, _cleared
 from .radical import RadExpr
 
 # Each entry: (integer coefficient, exponents of alpha, beta, alpha', beta',
@@ -87,9 +92,91 @@ def expand_condition_terms(table, al, be, alp, bep, alpp, bepp):
     return total
 
 
+def _umul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists, low degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+class _ClearedGenerator:
+    """One generator derivative p in one variable, cleared to integers.
+
+    ``bases`` holds the integer coefficient lists of p, p' and p'', each equal
+    to the true polynomial times ``den``; products of their powers are kept
+    as they are computed, so both term tables share them.
+    """
+
+    def __init__(self, p: Poly2, axis: int):
+        den, nums = _cleared(p)
+        coeffs = [0] * (p.degree() + 1)
+        for key, n in nums.items():
+            coeffs[key[axis]] = n
+        first = [k * c for k, c in enumerate(coeffs)][1:]
+        second = [k * c for k, c in enumerate(first)][1:]
+        self.den = den
+        self.bases = (coeffs, first, second)
+        self._products: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1]}
+
+    def product(self, exps: tuple[int, int, int]) -> list[int]:
+        """den^sum(exps) * p^e0 * p'^e1 * p''^e2 as an integer coefficient list."""
+        got = self._products.get(exps)
+        if got is None:
+            k = next(k for k, e in enumerate(exps) if e)
+            fewer = tuple(e - (i == k) for i, e in enumerate(exps))
+            got = _umul(self.product(fewer), self.bases[k])
+            self._products[exps] = got
+        return got
+
+
+def _expand_separable(table, gen: PolyGenerators) -> Poly2:
+    """Exact sum of a term table; equal to ``expand_condition_terms`` over Poly2.
+
+    Every entry is c * A(u) * B(v) with A a product of powers of alpha,
+    alpha', alpha'' and B a product of powers of beta, beta', beta''.  Entries are grouped by
+    their u-exponents, each group's v-parts are summed as integer lists, and
+    each group contributes one outer product.  Every entry is brought to the
+    table's largest power of the two denominators, so the whole sum is formed
+    in integers and divided once per coefficient at the end.
+    """
+    fu, fv = gen._cleared_generators
+    ku = max(e[1] + e[3] + e[5] for e in table)
+    kv = max(e[2] + e[4] + e[6] for e in table)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for c, e_al, e_be, e_alp, e_bep, e_alpp, e_bepp in table:
+        v_exps = (e_be, e_bep, e_bepp)
+        scale = c * fv.den ** (kv - sum(v_exps))
+        v_part = fv.product(v_exps)
+        acc = groups.setdefault((e_al, e_alp, e_alpp), [])
+        if len(acc) < len(v_part):
+            acc.extend([0] * (len(v_part) - len(acc)))
+        for j, b in enumerate(v_part):
+            acc[j] += scale * b
+    out: dict[tuple[int, int], int] = {}
+    for u_exps, v_sum in groups.items():
+        u_scale = fu.den ** (ku - sum(u_exps))
+        v_terms = [(j, b) for j, b in enumerate(v_sum) if b]
+        for i, a in enumerate(fu.product(u_exps)):
+            if a:
+                a *= u_scale
+                for j, b in v_terms:
+                    out[(i, j)] = out.get((i, j), 0) + a * b
+    den = fu.den**ku * fv.den**kv
+    return Poly2({key: Fraction(n, den) for key, n in out.items() if n})
+
+
 @dataclass(frozen=True)
 class PolyGenerators:
-    """Generator derivatives alpha = f'(u) and beta = g'(v), exact polynomials."""
+    """Generator derivatives alpha = f'(u) and beta = g'(v), exact polynomials.
+
+    The curvature objects of the surface are built on first use and kept on
+    the instance.
+    """
 
     alpha: Poly2
     beta: Poly2
@@ -115,12 +202,39 @@ class PolyGenerators:
 
     def delta(self) -> Poly2:
         """The squared-norm polynomial 1 + alpha^2 + beta^2, always >= 1."""
-        return 1 + self.alpha * self.alpha + self.beta * self.beta
+        return self._delta
 
     def derivatives(self) -> tuple[Poly2, Poly2, Poly2, Poly2, Poly2, Poly2]:
+        """(alpha, beta, alpha', beta', alpha'', beta'')."""
+        return self._derivatives
+
+    @cached_property
+    def _delta(self) -> Poly2:
+        return 1 + self.alpha * self.alpha + self.beta * self.beta
+
+    @cached_property
+    def _derivatives(self) -> tuple[Poly2, Poly2, Poly2, Poly2, Poly2, Poly2]:
         al, be = self.alpha, self.beta
         alp, bep = al.diff("u"), be.diff("v")
         return al, be, alp, bep, alp.diff("u"), bep.diff("v")
+
+    @cached_property
+    def _cleared_generators(self) -> tuple[_ClearedGenerator, _ClearedGenerator]:
+        return _ClearedGenerator(self.alpha, 0), _ClearedGenerator(self.beta, 1)
+
+    @cached_property
+    def mean_curvature(self) -> RadExpr:
+        return RadExpr(self._delta, {-3: mean_curvature_numerator(self)})
+
+    @cached_property
+    def gauss_curvature(self) -> RadExpr:
+        _, _, alp, bep, _, _ = self._derivatives
+        return RadExpr(self._delta, {-4: alp * bep})
+
+    @cached_property
+    def second_gaussian_numerator(self) -> Poly2:
+        """Numerator of K_II (denominator 4 D^(3/2))."""
+        return _expand_separable(SECOND_GAUSSIAN_NUMERATOR_TERMS, self)
 
 
 def mean_curvature_numerator(gen: PolyGenerators) -> Poly2:
@@ -130,13 +244,11 @@ def mean_curvature_numerator(gen: PolyGenerators) -> Poly2:
 
 
 def mean_curvature_expr(gen: PolyGenerators) -> RadExpr:
-    return RadExpr(gen.delta(), {-3: mean_curvature_numerator(gen)})
+    return gen.mean_curvature
 
 
 def gauss_curvature_expr(gen: PolyGenerators) -> RadExpr:
-    al_p = gen.alpha.diff("u")
-    be_p = gen.beta.diff("v")
-    return RadExpr(gen.delta(), {-4: al_p * be_p})
+    return gen.gauss_curvature
 
 
 def jacobian_direct(gen: PolyGenerators) -> Poly2:
@@ -144,7 +256,7 @@ def jacobian_direct(gen: PolyGenerators) -> Poly2:
 
     The surface is Weingarten iff the result is identically zero.
     """
-    return expand_condition_terms(JACOBIAN_CONDITION_TERMS, *gen.derivatives())
+    return _expand_separable(JACOBIAN_CONDITION_TERMS, gen)
 
 
 def jacobian_derived(gen: PolyGenerators) -> tuple[Poly2, Poly2]:
@@ -172,7 +284,7 @@ def jacobian_derived(gen: PolyGenerators) -> tuple[Poly2, Poly2]:
 
 def kii_numerator(gen: PolyGenerators) -> Poly2:
     """Numerator polynomial of the second Gaussian curvature (denominator 4 D^(3/2))."""
-    return expand_condition_terms(SECOND_GAUSSIAN_NUMERATOR_TERMS, *gen.derivatives())
+    return gen.second_gaussian_numerator
 
 
 def jacobian_linear_beta(alpha: Poly2, a: Fraction | int, b: Fraction | int) -> Poly2:

@@ -220,7 +220,9 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
 # -- differentiation -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a long run over many surfaces does not keep every tree
+# it has differentiated.
+@lru_cache(maxsize=512)
 def ast_diff(e: Expr, var: str) -> Expr:
     """Exact symbolic derivative with respect to 'u' or 'v'."""
     if isinstance(e, Const):

@@ -33,13 +33,16 @@ class GallerySurface:
 
 def gallery(name: str, **params) -> GallerySurface:
     """Construct a named surface; raises ValueError for unknown names or
-    parameters outside the surface's domain of definition."""
+    parameters outside the surface's domain of definition.
+
+    Parameters are pasted into the source text in parentheses, so a
+    rational or negative value keeps its meaning."""
     if name == "scherk":
         a = params.get("a", 1)
         if a == 0:
             raise ValueError("scherk needs a != 0")
-        f = parse_expr(f"log(abs(cos({a}*u)))/{a}" if a != 1 else "log(abs(cos(u)))")
-        g = parse_expr(f"-log(abs(cos({a}*v)))/{a}" if a != 1 else "-log(abs(cos(v)))")
+        f = parse_expr(f"log(abs(cos(({a})*u)))/({a})" if a != 1 else "log(abs(cos(u)))")
+        g = parse_expr(f"-log(abs(cos(({a})*v)))/({a})" if a != 1 else "-log(abs(cos(v)))")
         # Keep clear of the poles of cos(a x) at +-pi/(2a).
         half = 0.9 * math.pi / (2 * abs(a))
         return GallerySurface(
@@ -67,8 +70,8 @@ def gallery(name: str, **params) -> GallerySurface:
         c = params.get("c", 1)
         if c == 0:
             raise ValueError("blair needs c != 0")
-        f = parse_expr(f"{c}*u^(4/3)" if c != 1 else "u^(4/3)")
-        g = parse_expr(f"-{c}*v^(4/3)" if c != 1 else "-v^(4/3)")
+        f = parse_expr(f"({c})*u^(4/3)" if c != 1 else "u^(4/3)")
+        g = parse_expr(f"-({c})*v^(4/3)" if c != 1 else "-v^(4/3)")
         return GallerySurface(name, f, g, "KII_zero", None, {"c": c}, (0.5, 2.0, 0.5, 2.0))
 
     if name == "paraboloid":
@@ -77,8 +80,8 @@ def gallery(name: str, **params) -> GallerySurface:
         v0 = Fraction(params.get("v0", 0))
         if a <= 0:
             raise ValueError("paraboloid needs a > 0")
-        f = parse_expr(f"{a}*(u - {u0})^2" if u0 else f"{a}*u^2")
-        g = parse_expr(f"{a}*(v - {v0})^2" if v0 else f"{a}*v^2")
+        f = parse_expr(f"({a})*(u - ({u0}))^2" if u0 else f"({a})*u^2")
+        g = parse_expr(f"({a})*(v - ({v0}))^2" if v0 else f"({a})*v^2")
         return GallerySurface(
             name, f, g, "paraboloid_relation", float(a),
             {"a": a, "u0": u0, "v0": v0}, (-1.0, 1.0, -1.0, 1.0),

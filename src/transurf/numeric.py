@@ -22,9 +22,6 @@ from .curvature import (
     SECOND_GAUSSIAN_NUMERATOR_TERMS,
     PolyGenerators,
     expand_condition_terms,
-    gauss_curvature_expr,
-    kii_numerator,
-    mean_curvature_expr,
 )
 from .expr import DomainError, Expr, ast_diff, ast_eval
 
@@ -98,16 +95,18 @@ def eval_curvatures(f: Expr, g: Expr, point: tuple[float, float]) -> CurvatureSa
 
 
 def eval_curvatures_symbolic(gen: PolyGenerators, point: tuple[float, float]) -> CurvatureSample:
-    """The same quantities evaluated through the exact symbolic objects."""
+    """The same quantities evaluated through the exact symbolic objects,
+    which ``gen`` builds once and keeps for every later point."""
     u, v = point
-    h = mean_curvature_expr(gen).evalf(u, v)
-    k = gauss_curvature_expr(gen).evalf(u, v)
+    _, _, alpha_p, beta_p, _, _ = gen.derivatives()
+    h = gen.mean_curvature.evalf(u, v)
+    k = gen.gauss_curvature.evalf(u, v)
     delta = gen.delta().evalf(u, v)
-    alp = gen.alpha.diff("u").evalf(u, v)
-    bep = gen.beta.diff("v").evalf(u, v)
+    alp = alpha_p.evalf(u, v)
+    bep = beta_p.evalf(u, v)
     kii = None
     if alp * bep != 0.0:
-        kii = kii_numerator(gen).evalf(u, v) / (4.0 * delta**1.5)
+        kii = gen.second_gaussian_numerator.evalf(u, v) / (4.0 * delta**1.5)
     return CurvatureSample(point=(u, v), H=h, K=k, K_II=kii, delta=delta, method="symbolic_eval")
 
 
@@ -133,7 +132,8 @@ def numeric_weingarten_test(
     largest gradient product |grad H| |grad K| seen on the grid: surfaces
     with order-one curvature gradients are judged absolutely, while the
     scale factor keeps roundoff on strongly curved surfaces from tripping
-    the test.  Singular grid points are skipped and counted, not failed.
+    the test.  Singular grid points are skipped and counted, not failed;
+    a grid on which every point is skipped does not pass.
     """
     fp, fpp, _, gp, gpp, _ = _surface_derivatives(f, g)
 
@@ -171,7 +171,7 @@ def numeric_weingarten_test(
         if abs(jac) > result.max_abs:
             result.max_abs = abs(jac)
             result.argmax = (u, v)
-    result.passed = result.max_abs < tol * max(1.0, result.scale)
+    result.passed = bool(result.samples) and result.max_abs < tol * max(1.0, result.scale)
     return result
 
 

@@ -8,11 +8,15 @@ equality and "is this identically zero" is a trivial check.  All arithmetic
 is exact -- coefficients are arbitrary-precision rationals and nothing is
 ever rounded.
 
-Values are immutable once constructed and safe to share freely.
+Values are immutable once constructed and safe to share freely.  Products
+and floating-point evaluation work on a private integer form of the
+coefficients (all numerators over one common denominator), built once per
+polynomial the first time it is needed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -32,7 +36,7 @@ def _coerce(value: Scalar) -> Fraction:
 class Poly2:
     """Bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_int_form")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -87,11 +91,15 @@ class Poly2:
             other = Poly2.const(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = out.get(key, Fraction(0)) + coeff
+            old = out.get(key)
+            if old is None:
+                out[key] = coeff
+                continue
+            new = old + coeff
             if new:
                 out[key] = new
             else:
-                out.pop(key, None)
+                del out[key]
         return _raw(out)
 
     __radd__ = __add__
@@ -113,16 +121,20 @@ class Poly2:
             if c == 0:
                 return Poly2.zero()
             return _raw({key: coeff * c for key, coeff in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                new = out.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return _raw(out)
+        d1, n1 = _cleared(self)
+        d2, n2 = _cleared(other)
+        # Pack (i, j) as i * width + j so the inner loop adds ints, not tuples.
+        width = max(j for _, j in n1) + max(j for _, j in n2) + 1 if n1 and n2 else 1
+        packed2 = [(i * width + j, c) for (i, j), c in n2.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for (i1, j1), c1 in n1.items():
+            k1 = i1 * width + j1
+            for k2, c2 in packed2:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        den = d1 * d2
+        return _raw({divmod(key, width): Fraction(n, den) for key, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -167,10 +179,37 @@ class Poly2:
         return total
 
     def evalf(self, u: float, v: float) -> float:
-        total = 0.0
-        for (i, j), coeff in self.terms.items():
-            total += float(coeff) * u**i * v**j
-        return total
+        """Value at a point, rounded once.
+
+        A finite float is a dyadic rational, so the sum is formed exactly in
+        integers and only the final quotient is rounded; cancellation between
+        large terms costs no precision.  Non-finite inputs are summed in
+        floating point.
+        """
+        if not (math.isfinite(u) and math.isfinite(v)):
+            total = 0.0
+            for (i, j), coeff in self.terms.items():
+                total += float(coeff) * u**i * v**j
+            return total
+        if not self.terms:
+            return 0.0
+        den, nums = _cleared(self)
+        uq, vq = Fraction(u), Fraction(v)
+        ua, ub = uq.numerator, uq.denominator
+        va, vb = vq.numerator, vq.denominator
+        du = max(i for i, _ in nums)
+        dv = max(j for _, j in nums)
+        # u^i v^j = ua^i ub^(du-i) va^j vb^(dv-j) / (ub^du vb^dv)
+        u_pows = {i: ua**i * ub ** (du - i) for i in {i for i, _ in nums}}
+        v_pows = {j: va**j * vb ** (dv - j) for j in {j for _, j in nums}}
+        rows: dict[int, int] = {}
+        for (i, j), n in nums.items():
+            rows[i] = rows.get(i, 0) + n * v_pows[j]
+        total = sum(u_pows[i] * row for i, row in rows.items())
+        try:
+            return total / (den * ub**du * vb**dv)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
     # -- queries -------------------------------------------------------------
 
@@ -193,19 +232,6 @@ class Poly2:
 
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
-
-    def leading_u_coefficient(self) -> Fraction:
-        """Coefficient of the highest pure power of u (for univariate use)."""
-        if not self.terms:
-            return Fraction(0)
-        d = self.degree("u")
-        return self.terms.get((d, 0), Fraction(0))
-
-    def leading_v_coefficient(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        d = self.degree("v")
-        return self.terms.get((0, d), Fraction(0))
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -259,6 +285,19 @@ def _raw(terms: dict[tuple[int, int], Fraction]) -> Poly2:
     p = object.__new__(Poly2)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _cleared(p: Poly2) -> tuple[int, dict[tuple[int, int], int]]:
+    """``(d, nums)`` with ``p.terms[key] == nums[key] / d``, where d is the
+    least common denominator; computed once and kept on the polynomial."""
+    try:
+        return p._int_form
+    except AttributeError:
+        pass
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    cleared = (den, {key: c.numerator * (den // c.denominator) for key, c in p.terms.items()})
+    object.__setattr__(p, "_int_form", cleared)
+    return cleared
 
 
 def proportional_ratio(p: Poly2, q: Poly2) -> Fraction | None:

@@ -68,6 +68,11 @@ class TestClassifyPT:
         coeff, i, j = result.witness
         assert coeff != 0  # nonzero at any point with u, v != 0
 
+    def test_condition_polynomial_reported(self):
+        result = classify_pt(2 * U, V)
+        assert result.condition == 64 * U * V
+        assert classify_pt(U, V).condition.is_zero
+
 
 class TestRelation1:
     def test_vertex_values(self):

@@ -44,7 +44,30 @@ class TestClassifyCommand:
         assert report["a"] == "1"
 
 
+    def test_condition_built_once(self, monkeypatch, capsys):
+        import transurf.classify as classify
+        import transurf.cli as cli
+
+        calls = []
+        original = classify.jacobian_direct
+        counting = lambda gen: calls.append(gen) or original(gen)
+        for module in (classify, cli):
+            monkeypatch.setattr(module, "jacobian_direct", counting, raising=False)
+        assert main(["classify", "--f", "u^3/3", "--g", "v^2"]) == 0
+        assert len(calls) == 1
+        assert "condition polynomial: " in capsys.readouterr().out
+
+
 class TestWeingartenCommand:
+    def test_no_evaluable_points(self, capsys):
+        # sqrt(u) is undefined on the whole rectangle u in [-2, -1].
+        code = main(["weingarten", "--f", "sqrt(u)", "--g", "v^3", "--rect=-2,-1,-1,1", "--n", "5"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "no evaluable points" in out
+        assert "passes" not in out
+        assert "skipped 25" in out
+
     def test_scherk_passes(self, capsys):
         code = main([
             "weingarten",

@@ -68,6 +68,22 @@ class TestAdvertisedProperties:
         assert umax == pytest.approx(0.9)  # 90% of the open domain |u| < 1
         assert umin == -umax
 
+    def test_scherk_rational_scale(self):
+        surf = gallery("scherk", a=Fraction(3, 4))
+        assert abs(eval_curvatures(surf.f, surf.g, (0.3, 0.5)).H) < 1e-12
+        for point in grid_points(surf.default_rect, 7):
+            assert abs(eval_curvatures(surf.f, surf.g, point).H) < 1e-9
+
+    def test_paraboloid_negative_vertex(self):
+        surf = gallery("paraboloid", a=2, u0=Fraction(-1, 2), v0=Fraction(3, 4))
+        assert ast_eval(surf.f, -0.5, 0.0) == 0.0
+        assert ast_eval(surf.g, 0.0, 0.75) == 0.0
+        assert ast_eval(surf.f, 0.5, 0.0) == pytest.approx(2.0)
+
+    def test_blair_negative_scale(self):
+        surf = gallery("blair", c=-2)
+        assert ast_eval(surf.g, 0.0, 1.0) == pytest.approx(2.0)
+
     def test_cylinder_flat(self):
         surf = gallery("cylinder", f="u^2", slope=3)
         for point in grid_points(surf.default_rect, 5):

@@ -107,6 +107,13 @@ class TestWeingartenTest:
         assert len(result.samples) == 1
         assert result.argmax == (1.0, 1.0)
 
+    def test_all_points_skipped_does_not_pass(self):
+        grid = grid_points((-2, -1, -1, 1), 5)
+        result = numeric_weingarten_test(parse_expr("sqrt(u)"), parse_expr("v^3"), grid)
+        assert result.skipped == 25
+        assert not result.samples
+        assert not result.passed
+
     def test_second_order_step_convergence(self):
         # On an exactly-Weingarten surface the measured maximum is pure
         # truncation error of the central differences, so halving the step
