@@ -12,14 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curvature import (
-    PolyGenerators,
-    gauss_curvature_expr,
-    jacobian_direct,
-    kii_numerator,
-    mean_curvature_expr,
-    mean_curvature_numerator,
-)
+from .curvature import PolyGenerators, jacobian_direct, kii_numerator, mean_curvature_expr
 from .poly import Poly2, Scalar, proportional_ratio
 
 
@@ -137,17 +130,15 @@ def lw0_symbolic(gen: PolyGenerators) -> LWOutcome:
     2a N_H sqrt(D) = -b N_K); the proportionality test is exact and fails
     for every nondegenerate polynomial pair.
     """
-    alpha_p = gen.alpha.diff("u")
-    beta_p = gen.beta.diff("v")
-    if alpha_p.is_zero or beta_p.is_zero:
+    delta, n_h, n_k = gen.monge
+    if n_k.is_zero:
         return LWOutcome.FLAT_FAMILY
-    n_h = mean_curvature_numerator(gen)
     if n_h.is_zero:
         # Impossible for nondegenerate polynomial generators (the minimal
         # surface equation has no polynomial solutions), kept for totality.
         return LWOutcome.MINIMAL_FAMILY
-    lhs = n_h * n_h * gen.delta()
-    rhs = alpha_p * alpha_p * beta_p * beta_p
+    lhs = n_h * n_h * delta
+    rhs = n_k * n_k
     ratio = proportional_ratio(lhs, rhs)
     if ratio is None or ratio < 0:
         return LWOutcome.NO_RELATION
@@ -163,9 +154,3 @@ def classify_kii(gen: PolyGenerators) -> KiiClassification:
     if num.is_zero:
         return KiiClassification(vanishes=True)
     return KiiClassification(vanishes=False, witness=_pick_witness(num))
-
-
-def gauss_curvature_is_constant(gen: PolyGenerators) -> bool:
-    """True iff K is a constant function of (u, v); for polynomial
-    translation surfaces this happens exactly for the flat ones (K == 0)."""
-    return gauss_curvature_expr(gen).is_constant()

@@ -19,13 +19,14 @@ included only with ``--timings``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
 from .classify import SurfaceClass, classify_pt, relation1_residual
-from .expr import NotPolynomialError, ParseError, expr_to_poly, parse_expr
+from .expr import NotPolynomialError, expr_to_poly, mentions, parse_expr
 from .mesh import write_mesh
 from .numeric import eval_curvatures, grid_points, lw_fit, numeric_weingarten_test
 from .powerlaw import scan_exponents
@@ -54,10 +55,15 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _parse_pair(args) -> tuple:
-    try:
-        return parse_expr(args.f), parse_expr(args.g)
-    except ParseError as exc:
-        raise SystemExit(f"error: {exc}")
+    """Parse --f and --g; f may use only u and g only v."""
+    trees = []
+    for option, text, own, other in (("--f", args.f, "u", "v"), ("--g", args.g, "v", "u")):
+        # argparse hands over the value of "--f=--" as an empty list.
+        tree = parse_expr(text if isinstance(text, str) else "")
+        if mentions(tree, other):
+            raise ValueError(f"{option} must be a function of {own} alone, but it uses {other}")
+        trees.append(tree)
+    return tuple(trees)
 
 
 def cmd_classify(args) -> int:
@@ -210,6 +216,7 @@ def cmd_verify(args) -> int:
     return 0 if overall else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transurf",

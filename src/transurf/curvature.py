@@ -7,6 +7,8 @@ D = 1 + alpha^2 + beta^2 the classical Monge-patch formulas give
     H = ((1 + beta^2) alpha' + (1 + alpha^2) beta') / (2 D^(3/2))
     K = alpha' beta' / D^2
 
+:func:`monge_numerators` writes them once, for exact and floating-point values.
+
 Two independent constructions of the Weingarten condition are provided and
 cross-checked against each other:
 
@@ -77,6 +79,17 @@ SECOND_GAUSSIAN_NUMERATOR_TERMS: tuple[tuple[int, int, int, int, int, int, int],
     (1, 0, 3, 1, 0, 0, 1),
     (1, 3, 0, 0, 1, 1, 0),
 )
+
+
+def monge_numerators(al, be, alp, bep):
+    """``(D, N_H, N_K)`` with H = N_H / D^(3/2) and K = N_K / D^2.
+
+    Works over any ring with +, * and division by 2: exact Poly2 values or
+    floats at one point.
+    """
+    delta = 1 + al * al + be * be
+    n_h = ((1 + be * be) * alp + (1 + al * al) * bep) / 2
+    return delta, n_h, alp * bep
 
 
 def expand_condition_terms(table, al, be, alp, bep, alpp, bepp):
@@ -202,15 +215,11 @@ class PolyGenerators:
 
     def delta(self) -> Poly2:
         """The squared-norm polynomial 1 + alpha^2 + beta^2, always >= 1."""
-        return self._delta
+        return self.monge[0]
 
     def derivatives(self) -> tuple[Poly2, Poly2, Poly2, Poly2, Poly2, Poly2]:
         """(alpha, beta, alpha', beta', alpha'', beta'')."""
         return self._derivatives
-
-    @cached_property
-    def _delta(self) -> Poly2:
-        return 1 + self.alpha * self.alpha + self.beta * self.beta
 
     @cached_property
     def _derivatives(self) -> tuple[Poly2, Poly2, Poly2, Poly2, Poly2, Poly2]:
@@ -219,28 +228,29 @@ class PolyGenerators:
         return al, be, alp, bep, alp.diff("u"), bep.diff("v")
 
     @cached_property
+    def monge(self) -> tuple[Poly2, Poly2, Poly2]:
+        """``(D, N_H, N_K)`` of :func:`monge_numerators`."""
+        al, be, alp, bep, _, _ = self._derivatives
+        return monge_numerators(al, be, alp, bep)
+
+    @cached_property
     def _cleared_generators(self) -> tuple[_ClearedGenerator, _ClearedGenerator]:
         return _ClearedGenerator(self.alpha, 0), _ClearedGenerator(self.beta, 1)
 
     @cached_property
     def mean_curvature(self) -> RadExpr:
-        return RadExpr(self._delta, {-3: mean_curvature_numerator(self)})
+        delta, n_h, _ = self.monge
+        return RadExpr(delta, {-3: n_h})
 
     @cached_property
     def gauss_curvature(self) -> RadExpr:
-        _, _, alp, bep, _, _ = self._derivatives
-        return RadExpr(self._delta, {-4: alp * bep})
+        delta, _, n_k = self.monge
+        return RadExpr(delta, {-4: n_k})
 
     @cached_property
     def second_gaussian_numerator(self) -> Poly2:
         """Numerator of K_II (denominator 4 D^(3/2))."""
         return _expand_separable(SECOND_GAUSSIAN_NUMERATOR_TERMS, self)
-
-
-def mean_curvature_numerator(gen: PolyGenerators) -> Poly2:
-    """The polynomial N with H = N * D^(-3/2)."""
-    al, be, alp, bep, _, _ = gen.derivatives()
-    return ((1 + be * be) * alp + (1 + al * al) * bep) * Fraction(1, 2)
 
 
 def mean_curvature_expr(gen: PolyGenerators) -> RadExpr:

@@ -17,6 +17,10 @@ Grammar accepted by :func:`parse_expr`::
 
 Numbers are decimal literals; exact rationals are written as quotients,
 e.g. ``3/2`` or ``u^(4/3)``.
+
+Input is bounded: a tree deeper than ``MAX_DEPTH`` is a parse error, and
+:func:`expr_to_poly` refuses a power or product past ``MAX_DEGREE`` or
+``MAX_COEFFICIENT_BITS`` before expanding it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly2, antiderivative
+from .poly import Poly2
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
+
+MAX_DEPTH = 50
+MAX_DEGREE = 100
+MAX_COEFFICIENT_BITS = 10_000
 
 
 class ParseError(ValueError):
@@ -248,6 +256,8 @@ def ast_diff(e: Expr, var: str) -> Expr:
         return _neg(ast_diff(e.arg, var))
     if isinstance(e, Pow):
         inner = ast_diff(e.base, var)
+        if inner == ZERO:
+            return ZERO
         scaled = _mul(Const(e.exponent), _pow(e.base, e.exponent - 1))
         return _mul(scaled, inner)
     if isinstance(e, Call):
@@ -281,8 +291,12 @@ def ast_diff(e: Expr, var: str) -> Expr:
 
 
 def ast_eval(e: Expr, u: float, v: float) -> float:
-    """Evaluate at a point; raises DomainError outside the real domain."""
-    value = _eval(e, u, v)
+    """Evaluate at a point; raises DomainError outside the real domain,
+    overflow included."""
+    try:
+        value = _eval(e, u, v)
+    except OverflowError:
+        raise DomainError(f"overflow in {to_text(e)}") from None
     if not math.isfinite(value):
         raise DomainError(f"non-finite value of {to_text(e)}")
     return value
@@ -356,7 +370,9 @@ def expr_to_poly(e: Expr) -> Poly2:
     if isinstance(e, Sub):
         return expr_to_poly(e.left) - expr_to_poly(e.right)
     if isinstance(e, Mul):
-        return expr_to_poly(e.left) * expr_to_poly(e.right)
+        left, right = expr_to_poly(e.left), expr_to_poly(e.right)
+        _check_size(left.degree() + right.degree())
+        return left * right
     if isinstance(e, Div):
         divisor = expr_to_poly(e.right)
         if divisor.degree() > 0:
@@ -371,13 +387,37 @@ def expr_to_poly(e: Expr) -> Poly2:
         exp = e.exponent
         if exp.denominator != 1 or exp < 0:
             raise NotPolynomialError(f"non-polynomial power {exp}")
-        return expr_to_poly(e.base) ** exp.numerator
+        base, n = expr_to_poly(e.base), exp.numerator
+        heights = [max(abs(c.numerator), c.denominator) for c in base.terms.values()]
+        _check_size(base.degree() * n, max(heights, default=0).bit_length() * n)
+        return base**n
     if isinstance(e, Call):
         raise NotPolynomialError(f"function {e.fn} is not polynomial")
     raise TypeError(f"unknown node {e!r}")
 
 
-def poly_to_expr(p: Poly2, var_for_u: str = "u", var_for_v: str = "v") -> Expr:
+def _check_size(degree: int, bits: int = 0) -> None:
+    """Refuse a product or power, before expanding it, past the size limits."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {degree} exceeds the limit of {MAX_DEGREE}")
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ValueError(f"{bits}-bit coefficients exceed the limit of {MAX_COEFFICIENT_BITS} bits")
+
+
+def mentions(e: Expr, name: str) -> bool:
+    """True iff the variable ``name`` occurs in the tree."""
+    if isinstance(e, Var):
+        return e.name == name
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return mentions(e.left, name) or mentions(e.right, name)
+    if isinstance(e, (Neg, Call)):
+        return mentions(e.arg, name)
+    if isinstance(e, Pow):
+        return mentions(e.base, name)
+    return False
+
+
+def poly_to_expr(p: Poly2) -> Expr:
     """Exact expression tree for a polynomial (sum of monomial products)."""
     if p.is_zero:
         return ZERO
@@ -385,16 +425,11 @@ def poly_to_expr(p: Poly2, var_for_u: str = "u", var_for_v: str = "v") -> Expr:
     for (i, j) in sorted(p.terms):
         term: Expr = Const(p.terms[(i, j)])
         if i:
-            term = _mul(term, _pow(Var(var_for_u), Fraction(i)))
+            term = _mul(term, _pow(Var("u"), Fraction(i)))
         if j:
-            term = _mul(term, _pow(Var(var_for_v), Fraction(j)))
+            term = _mul(term, _pow(Var("v"), Fraction(j)))
         total = term if total is None else Add(total, term)
     return total
-
-
-def poly_antiderivative_expr(p: Poly2, var: str) -> Expr:
-    """Expression tree of the exact antiderivative of a univariate Poly2."""
-    return poly_to_expr(antiderivative(p, var))
 
 
 # -- parser -------------------------------------------------------------------------
@@ -405,6 +440,7 @@ class _Parser:
         # Accept the unicode minus as a synonym for '-'.
         self.text = text.replace("−", "-")
         self.pos = 0
+        self.nesting = 0  # parentheses and calls open around the current rule
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -422,43 +458,54 @@ class _Parser:
             raise self.error(f"expected {char!r}")
         self.pos += 1
 
+    def deeper(self, depth: int) -> int:
+        """One level more than ``depth``, refused past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth + 1
+
     def parse(self) -> Expr:
-        result = self.expr()
+        result, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.text[self.pos]!r}")
         return result
 
-    def expr(self) -> Expr:
+    # Each rule returns (tree, depth of the tree).  Tree depth bounds the
+    # recursion of every later tree walk; nesting bounds the parser's own.
+
+    def expr(self) -> tuple[Expr, int]:
         negate = False
         if self.peek() == "-":
             self.pos += 1
             negate = True
-        node = self.term()
+        node, depth = self.term()
         if negate:
-            node = Neg(node)
+            node, depth = Neg(node), self.deeper(depth)
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            right = self.term()
+            right, right_depth = self.term()
             node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            depth = self.deeper(max(depth, right_depth))
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.peek() in ("*", "/"):
             op = self.peek()
             self.pos += 1
-            right = self.factor()
+            right, right_depth = self.factor()
             node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+            depth = self.deeper(max(depth, right_depth))
+        return node, depth
 
-    def factor(self) -> Expr:
-        node = self.base()
+    def factor(self) -> tuple[Expr, int]:
+        node, depth = self.base()
         if self.peek() == "^":
             self.pos += 1
-            node = Pow(node, self.exponent())
-        return node
+            node, depth = Pow(node, self.exponent()), self.deeper(depth)
+        return node, depth
 
     def exponent(self) -> Fraction:
         if self.peek() == "(":
@@ -486,15 +533,20 @@ class _Parser:
             raise self.error("expected an integer")
         return int(self.text[start:self.pos])
 
-    def base(self) -> Expr:
+    def parenthesized(self) -> tuple[Expr, int]:
+        self.take("(")
+        self.nesting = self.deeper(self.nesting)
+        result = self.expr()
+        self.nesting -= 1
+        self.take(")")
+        return result
+
+    def base(self) -> tuple[Expr, int]:
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            self.take(")")
-            return node
+            return self.parenthesized()
         if ch.isdigit() or ch == ".":
-            return self.number()
+            return self.number(), 1
         if ch.isalpha():
             return self.identifier()
         if ch == "":
@@ -515,19 +567,17 @@ class _Parser:
             self.pos = start
             raise self.error(f"bad number literal {literal!r}")
 
-    def identifier(self) -> Expr:
+    def identifier(self) -> tuple[Expr, int]:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         name = self.text[start:self.pos]
         if name in ("u", "v"):
-            return Var(name)
+            return Var(name), 1
         if name in FUNCTIONS:
-            self.take("(")
-            arg = self.expr()
-            self.take(")")
-            return Call(name, arg)
+            arg, depth = self.parenthesized()
+            return Call(name, arg), self.deeper(depth)
         self.pos = start
         raise self.error(f"unknown identifier {name!r}")
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expr import DomainError, Expr, ast_eval
+from .numeric import grid_points
 
 
 @dataclass(frozen=True)
@@ -26,19 +25,14 @@ class MeshStats:
 
 
 def _heights(f: Expr, g: Expr, rect, n: int):
-    umin, umax, vmin, vmax = rect
-    us = np.linspace(umin, umax, n)
-    vs = np.linspace(vmin, vmax, n)
     points: list[tuple[float, float, float] | None] = []
     skipped = 0
-    for u in us:
-        for v in vs:
-            try:
-                z = ast_eval(f, float(u), float(v)) + ast_eval(g, float(u), float(v))
-                points.append((float(u), float(v), z))
-            except DomainError:
-                points.append(None)
-                skipped += 1
+    for u, v in grid_points(rect, n):
+        try:
+            points.append((u, v, ast_eval(f, u, v) + ast_eval(g, u, v)))
+        except DomainError:
+            points.append(None)
+            skipped += 1
     return points, skipped
 
 

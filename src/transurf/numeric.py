@@ -22,6 +22,7 @@ from .curvature import (
     SECOND_GAUSSIAN_NUMERATOR_TERMS,
     PolyGenerators,
     expand_condition_terms,
+    monge_numerators,
 )
 from .expr import DomainError, Expr, ast_diff, ast_eval
 
@@ -57,14 +58,23 @@ class LWFit:
     discriminant: float  # a^2 + b*c; sign separates the elliptic/hyperbolic cases
 
 
-def _surface_derivatives(f: Expr, g: Expr):
+# Central-difference step and degeneracy floor of the K_II oracles.
+ORACLE_STEP = 1e-3
+DEGENERATE_TOL = 1e-12
+
+
+def _derivative_trees(f: Expr, g: Expr) -> tuple[Expr, Expr, Expr, Expr]:
+    """(f', g', f'', g'') as expression trees."""
     fp = ast_diff(f, "u")
-    fpp = ast_diff(fp, "u")
-    fppp = ast_diff(fpp, "u")
     gp = ast_diff(g, "v")
-    gpp = ast_diff(gp, "v")
-    gppp = ast_diff(gpp, "v")
-    return fp, fpp, fppp, gp, gpp, gppp
+    return fp, gp, ast_diff(fp, "u"), ast_diff(gp, "v")
+
+
+def _eval_derivatives(trees, u: float, v: float) -> tuple[float, float, float, float]:
+    """(f', g', f'', g'') at one point, evaluated in that order, so the first
+    singular derivative is the one whose DomainError is raised."""
+    fp, gp, fpp, gpp = trees
+    return ast_eval(fp, u, v), ast_eval(gp, u, v), ast_eval(fpp, u, v), ast_eval(gpp, u, v)
 
 
 def eval_curvatures(f: Expr, g: Expr, point: tuple[float, float]) -> CurvatureSample:
@@ -74,23 +84,17 @@ def eval_curvatures(f: Expr, g: Expr, point: tuple[float, float]) -> CurvatureSa
     sub-expression); K_II is flagged undefined where f'' * g'' = 0.
     """
     u, v = point
-    fp, fpp, fppp, gp, gpp, gppp = _surface_derivatives(f, g)
-    al = ast_eval(fp, u, v)
-    be = ast_eval(gp, u, v)
-    alp = ast_eval(fpp, u, v)
-    bep = ast_eval(gpp, u, v)
-    delta = 1.0 + al * al + be * be
-    h = ((1.0 + be * be) * alp + (1.0 + al * al) * bep) / (2.0 * delta**1.5)
-    k = alp * bep / delta**2
+    trees = _derivative_trees(f, g)
+    al, be, alp, bep = _eval_derivatives(trees, u, v)
+    delta, n_h, n_k = monge_numerators(al, be, alp, bep)
 
     kii: float | None = None
-    if alp * bep != 0.0:
-        alpp = ast_eval(fppp, u, v)
-        bepp = ast_eval(gppp, u, v)
-        num = expand_condition_terms(
-            SECOND_GAUSSIAN_NUMERATOR_TERMS, al, be, alp, bep, alpp, bepp
-        )
+    if n_k != 0.0:
+        alpp = ast_eval(ast_diff(trees[2], "u"), u, v)
+        bepp = ast_eval(ast_diff(trees[3], "v"), u, v)
+        num = expand_condition_terms(SECOND_GAUSSIAN_NUMERATOR_TERMS, al, be, alp, bep, alpp, bepp)
         kii = num / (4.0 * delta**1.5)
+    h, k = n_h / delta**1.5, n_k / delta**2
     return CurvatureSample(point=(u, v), H=h, K=k, K_II=kii, delta=delta, method="monge_formula")
 
 
@@ -98,14 +102,11 @@ def eval_curvatures_symbolic(gen: PolyGenerators, point: tuple[float, float]) ->
     """The same quantities evaluated through the exact symbolic objects,
     which ``gen`` builds once and keeps for every later point."""
     u, v = point
-    _, _, alpha_p, beta_p, _, _ = gen.derivatives()
     h = gen.mean_curvature.evalf(u, v)
     k = gen.gauss_curvature.evalf(u, v)
     delta = gen.delta().evalf(u, v)
-    alp = alpha_p.evalf(u, v)
-    bep = beta_p.evalf(u, v)
     kii = None
-    if alp * bep != 0.0:
+    if gen.monge[2].evalf(u, v) != 0.0:  # alpha' * beta'
         kii = gen.second_gaussian_numerator.evalf(u, v) / (4.0 * delta**1.5)
     return CurvatureSample(point=(u, v), H=h, K=k, K_II=kii, delta=delta, method="symbolic_eval")
 
@@ -135,17 +136,11 @@ def numeric_weingarten_test(
     the test.  Singular grid points are skipped and counted, not failed;
     a grid on which every point is skipped does not pass.
     """
-    fp, fpp, _, gp, gpp, _ = _surface_derivatives(f, g)
+    trees = _derivative_trees(f, g)
 
     def fields(u: float, v: float) -> tuple[float, float]:
-        al = ast_eval(fp, u, v)
-        be = ast_eval(gp, u, v)
-        alp = ast_eval(fpp, u, v)
-        bep = ast_eval(gpp, u, v)
-        delta = 1.0 + al * al + be * be
-        h = ((1.0 + be * be) * alp + (1.0 + al * al) * bep) / (2.0 * delta**1.5)
-        k = alp * bep / delta**2
-        return h, k
+        delta, n_h, n_k = monge_numerators(*_eval_derivatives(trees, u, v))
+        return n_h / delta**1.5, n_k / delta**2
 
     result = WeingartenTestResult(
         passed=False, max_abs=0.0, argmax=None, scale=0.0, tol=tol, step=step
@@ -197,34 +192,28 @@ def lw_fit(samples: list[CurvatureSample]) -> LWFit:
 
 
 def _second_form_components(f: Expr, g: Expr):
-    fp, fpp, _, gp, gpp, _ = _surface_derivatives(f, g)
+    trees = _derivative_trees(f, g)
 
     def components(u: float, v: float) -> tuple[float, float]:
-        al = ast_eval(fp, u, v)
-        be = ast_eval(gp, u, v)
+        al, be, alp, bep = _eval_derivatives(trees, u, v)
         root = math.sqrt(1.0 + al * al + be * be)
-        return ast_eval(fpp, u, v) / root, ast_eval(gpp, u, v) / root
+        return alp / root, bep / root
 
     return components
 
 
-def kii_oracle(
-    f: Expr,
-    g: Expr,
-    point: tuple[float, float],
-    h: float = 1e-3,
-    degenerate_tol: float = 1e-12,
-) -> float | None:
+def kii_oracle(f: Expr, g: Expr, point: tuple[float, float]) -> float | None:
     """Second Gaussian curvature by the intrinsic determinant formula.
 
     Applies the classical curvature determinant of a metric to the second
     fundamental form components e = f''/sqrt(D), m = 0, g = g''/sqrt(D),
-    taking the required partials by central differences of step h.  This
-    never touches the closed-form numerator, so it is an independent check
-    of its zero set.  Returns None when the form is degenerate on the
-    stencil.
+    taking the required partials by central differences of step
+    ``ORACLE_STEP``.  This never touches the closed-form numerator, so it is
+    an independent check of its zero set.  Returns None when the form is
+    degenerate on the stencil.
     """
     u, v = point
+    h = ORACLE_STEP
     comp = _second_form_components(f, g)
     try:
         e0, g0 = comp(u, v)
@@ -235,7 +224,7 @@ def kii_oracle(
     except DomainError:
         return None
     for ee, gg in ((e0, g0), (e_up, g_up), (e_um, g_um), (e_vp, g_vp), (e_vm, g_vm)):
-        if abs(ee * gg) < degenerate_tol:
+        if abs(ee * gg) < DEGENERATE_TOL:
             return None
 
     e_u = (e_up - e_um) / (2 * h)
@@ -264,18 +253,14 @@ def kii_oracle(
     return float((np.linalg.det(m1) - np.linalg.det(m2)) / denom)
 
 
-def kii_orthogonal(
-    f: Expr,
-    g: Expr,
-    point: tuple[float, float],
-    h: float = 1e-3,
-) -> float | None:
+def kii_orthogonal(f: Expr, g: Expr, point: tuple[float, float]) -> float | None:
     """Second check of the oracle: curvature of the diagonal form e du^2 + g dv^2
     via K = -(1 / 2 sqrt(eg)) * [d/du (g_u / sqrt(eg)) + d/dv (e_v / sqrt(eg))].
 
     Only defined where e * g > 0 (definite form); nested central differences.
     """
     u, v = point
+    h = ORACLE_STEP
     comp = _second_form_components(f, g)
 
     def sqrt_eg(uu: float, vv: float) -> float:

@@ -300,6 +300,16 @@ def _cleared(p: Poly2) -> tuple[int, dict[tuple[int, int], int]]:
     return cleared
 
 
+def accumulate(out: dict, key, poly: Poly2) -> None:
+    """Add ``poly`` into ``out[key]``; a slot that cancels to zero is dropped,
+    so ``out`` never holds a zero polynomial."""
+    merged = out[key] + poly if key in out else poly
+    if merged.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = merged
+
+
 def proportional_ratio(p: Poly2, q: Poly2) -> Fraction | None:
     """Return the constant r with p == r * q, or None if no such constant exists.
 

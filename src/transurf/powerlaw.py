@@ -35,9 +35,14 @@ from .curvature import (
     SECOND_GAUSSIAN_NUMERATOR_TERMS,
     expand_condition_terms,
 )
-from .poly import Poly2, Scalar
+from .poly import Poly2, Scalar, accumulate
 
 Condition = Literal["jacobian", "second_gaussian"]
+
+_CONDITION_TABLES = {
+    "jacobian": JACOBIAN_CONDITION_TERMS,
+    "second_gaussian": SECOND_GAUSSIAN_NUMERATOR_TERMS,
+}
 
 _P = Poly2.var_u()  # the two Poly2 slots double as the formal symbols p, q
 _Q = Poly2.var_v()
@@ -251,7 +256,7 @@ class _PowerSum:
     def __add__(self, other: _PowerSum) -> _PowerSum:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, Poly2.zero()) + coeff
+            accumulate(out, key, coeff)
         return _PowerSum(out)
 
     def __mul__(self, other):
@@ -260,8 +265,7 @@ class _PowerSum:
         out: dict[tuple[int, int, int, int, int, int], Poly2] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                out[key] = out.get(key, Poly2.zero()) + c1 * c2
+                accumulate(out, tuple(x + y for x, y in zip(k1, k2)), c1 * c2)
         return _PowerSum(out)
 
     __rmul__ = __mul__
@@ -291,12 +295,7 @@ def _power_generator_symbols() -> tuple[_PowerSum, ...]:
 
 
 def _derived_power_table(condition: Condition) -> dict:
-    table = (
-        JACOBIAN_CONDITION_TERMS
-        if condition == "jacobian"
-        else SECOND_GAUSSIAN_NUMERATOR_TERMS
-    )
-    return expand_condition_terms(table, *_power_generator_symbols()).terms
+    return expand_condition_terms(_CONDITION_TABLES[condition], *_power_generator_symbols()).terms
 
 
 def _tabulated_as_power_sum(condition: Condition) -> dict:
@@ -312,8 +311,8 @@ def _tabulated_as_power_sum(condition: Condition) -> dict:
         else:
             key = (a_pow + 1, b_pow + 1, us + 1, ush - 2, vs + 1, vsh - 2)
             coeff = coeff * _P * _Q
-        out[key] = out.get(key, Poly2.zero()) + coeff
-    return {k: c for k, c in out.items() if not c.is_zero}
+        accumulate(out, key, coeff)
+    return out
 
 
 def power_tables_consistent(condition: Condition) -> bool:
@@ -335,9 +334,4 @@ def condition_value(gen: PowerGenerators, condition: Condition, u: float, v: flo
     be = b * v**q
     bep = b * q * v ** (q - 1)
     bepp = b * q * (q - 1) * v ** (q - 2)
-    table = (
-        JACOBIAN_CONDITION_TERMS
-        if condition == "jacobian"
-        else SECOND_GAUSSIAN_NUMERATOR_TERMS
-    )
-    return expand_condition_terms(table, al, be, alp, bep, alpp, bepp)
+    return expand_condition_terms(_CONDITION_TABLES[condition], al, be, alp, bep, alpp, bepp)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import Poly2, Scalar
+from .poly import Poly2, Scalar, accumulate
 
 Coefficient = Union[int, Fraction, Poly2]
 
@@ -74,11 +74,7 @@ class RadExpr:
         self._check(other)
         out = dict(self.terms)
         for exp2, poly in other.terms.items():
-            merged = out.get(exp2, Poly2.zero()) + poly
-            if merged.is_zero:
-                out.pop(exp2, None)
-            else:
-                out[exp2] = merged
+            accumulate(out, exp2, poly)
         return RadExpr(self.delta, out)
 
     __radd__ = __add__
@@ -99,12 +95,7 @@ class RadExpr:
         out: dict[int, Poly2] = {}
         for e1, p1 in self.terms.items():
             for e2, p2 in other.terms.items():
-                exp2 = e1 + e2
-                merged = out.get(exp2, Poly2.zero()) + p1 * p2
-                if merged.is_zero:
-                    out.pop(exp2, None)
-                else:
-                    out[exp2] = merged
+                accumulate(out, e1 + e2, p1 * p2)
         return RadExpr(self.delta, out)
 
     __rmul__ = __mul__
@@ -115,19 +106,9 @@ class RadExpr:
         """Partial derivative; uses d(D^s)/dx = s * D^(s-1) * dD/dx."""
         d_delta = self.delta.diff(var)
         out: dict[int, Poly2] = {}
-
-        def accumulate(exp2: int, poly: Poly2) -> None:
-            if poly.is_zero:
-                return
-            merged = out.get(exp2, Poly2.zero()) + poly
-            if merged.is_zero:
-                out.pop(exp2, None)
-            else:
-                out[exp2] = merged
-
         for exp2, poly in self.terms.items():
-            accumulate(exp2, poly.diff(var))
-            accumulate(exp2 - 2, poly * d_delta * Fraction(exp2, 2))
+            accumulate(out, exp2, poly.diff(var))
+            accumulate(out, exp2 - 2, poly * d_delta * Fraction(exp2, 2))
         return RadExpr(self.delta, out)
 
     # -- normal form and zero test -------------------------------------------
@@ -161,14 +142,6 @@ class RadExpr:
             return True
         n_even, n_odd, _ = self.as_cleared_numerator()
         return n_even.is_zero and n_odd.is_zero
-
-    def is_constant(self) -> bool:
-        """True iff the value is a rational constant (no dependence on u, v)."""
-        if not self.terms:
-            return True
-        if set(self.terms) == {0}:
-            return self.terms[0].degree() == 0
-        return self.is_zero
 
     # -- evaluation ------------------------------------------------------------
 

@@ -330,21 +330,21 @@ def _spot_check_scan(condition: str, results, rng: random.Random) -> float:
     return worst
 
 
-def check_kii_power_scan(seed: int = 0) -> dict:
-    """Exponent scan of the second-curvature condition over {k/3: k=-3..6}^2:
-    exactly the two axis families plus (1/3, 1/3) with opposite coefficients."""
-    if not power_tables_consistent("second_gaussian"):
+def _check_power_scan(condition: str, special_pair, kind: ConstraintKind, seed: int) -> dict:
+    """Exponent scan of one condition over DEFAULT_GRID^2: exactly the two
+    axis families plus ``special_pair`` with coefficient constraint ``kind``."""
+    if not power_tables_consistent(condition):
         return {"passed": False, "reason": "stored table fails rederivation"}
-    results = scan_exponents("second_gaussian", DEFAULT_GRID, DEFAULT_GRID)
+    results = scan_exponents(condition, DEFAULT_GRID, DEFAULT_GRID)
     expected = {
         (p, q): ConstraintKind.ANY_AB
         for p in DEFAULT_GRID
         for q in DEFAULT_GRID
         if p == 0 or q == 0
     }
-    expected[(Fraction(1, 3), Fraction(1, 3))] = ConstraintKind.REQUIRES_OPPOSITE
+    expected[special_pair] = kind
     got = {(p, q): outcome.kind for p, q, outcome in results}
-    spot = _spot_check_scan("second_gaussian", results, random.Random(seed))
+    spot = _spot_check_scan(condition, results, random.Random(seed))
     return {
         "passed": got == expected and spot < 1e-9,
         "seed": seed,
@@ -354,32 +354,18 @@ def check_kii_power_scan(seed: int = 0) -> dict:
         ),
         "spot_check_max": spot,
     }
+
+
+def check_kii_power_scan(seed: int = 0) -> dict:
+    """Second-curvature scan over {k/3: k=-3..6}^2: (1/3, 1/3) with opposite coefficients."""
+    pair = (Fraction(1, 3), Fraction(1, 3))
+    return _check_power_scan("second_gaussian", pair, ConstraintKind.REQUIRES_OPPOSITE, seed)
 
 
 def check_jacobian_power_scan(seed: int = 0) -> dict:
-    """Exponent scan of the Weingarten condition: the axis families plus
-    (1, 1) with equal coefficients."""
-    if not power_tables_consistent("jacobian"):
-        return {"passed": False, "reason": "stored table fails rederivation"}
-    results = scan_exponents("jacobian", DEFAULT_GRID, DEFAULT_GRID)
-    expected = {
-        (p, q): ConstraintKind.ANY_AB
-        for p in DEFAULT_GRID
-        for q in DEFAULT_GRID
-        if p == 0 or q == 0
-    }
-    expected[(Fraction(1), Fraction(1))] = ConstraintKind.REQUIRES_EQUAL
-    got = {(p, q): outcome.kind for p, q, outcome in results}
-    spot = _spot_check_scan("jacobian", results, random.Random(seed))
-    return {
-        "passed": got == expected and spot < 1e-9,
-        "seed": seed,
-        "pairs_found": len(results),
-        "special_pairs": sorted(
-            f"({p}, {q})" for (p, q), kind in got.items() if kind is not ConstraintKind.ANY_AB
-        ),
-        "spot_check_max": spot,
-    }
+    """Weingarten-condition scan: (1, 1) with equal coefficients."""
+    pair = (Fraction(1), Fraction(1))
+    return _check_power_scan("jacobian", pair, ConstraintKind.REQUIRES_EQUAL, seed)
 
 
 def check_blair_numeric(seed: int = 0) -> dict:
@@ -390,7 +376,7 @@ def check_blair_numeric(seed: int = 0) -> dict:
     grid = grid_points((0.5, 2.0, 0.5, 2.0), 21)
     closed_max = max(abs(eval_curvatures(surf.f, surf.g, p).K_II) for p in grid)
     coarse = grid_points((0.5, 2.0, 0.5, 2.0), 7)
-    oracle_values = [kii_oracle(surf.f, surf.g, p, h=1e-3) for p in coarse]
+    oracle_values = [kii_oracle(surf.f, surf.g, p) for p in coarse]
     if any(val is None for val in oracle_values):
         return {"passed": False, "reason": "oracle undefined on the grid"}
     oracle_max = max(abs(val) for val in oracle_values)
@@ -413,7 +399,7 @@ def check_kii_ratio_constancy(seed: int = 0) -> dict:
         for _ in range(20):
             pt = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             closed = eval_curvatures(surf.f, surf.g, pt).K_II
-            oracle = kii_oracle(surf.f, surf.g, pt, h=1e-3)
+            oracle = kii_oracle(surf.f, surf.g, pt)
             if oracle is None or oracle == 0:
                 return {"passed": False, "reason": "oracle undefined"}
             ratios.append(closed / oracle)

@@ -10,7 +10,6 @@ from transurf.classify import (
     SurfaceClass,
     classify_kii,
     classify_pt,
-    gauss_curvature_is_constant,
     lw0_symbolic,
     relation1_residual,
 )
@@ -135,12 +134,6 @@ class TestClassifyKii:
 
 
 class TestConstantGaussCurvature:
-    def test_flat_surfaces_constant(self):
-        assert gauss_curvature_is_constant(PolyGenerators(U * U, Poly2.const(1)))
-
-    def test_paraboloid_not_constant(self):
-        assert not gauss_curvature_is_constant(PolyGenerators(2 * U, 2 * V))
-
     def test_flat_classification_iff_curvature_polynomial_vanishes(self):
         # K == 0 as an exact statement (alpha' beta' == 0) picks out exactly
         # the cylinder-or-plane class.

@@ -1,11 +1,15 @@
 """Command-line interface and mesh export."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transurf.cli import main
+from transurf.cli import build_parser, main
 from transurf.expr import parse_expr
 from transurf.gallery import gallery
 from transurf.mesh import write_mesh
@@ -57,6 +61,10 @@ class TestClassifyCommand:
         assert len(calls) == 1
         assert "condition polynomial: " in capsys.readouterr().out
 
+    def test_parser_built_once(self):
+        # A new parser per call would leave a reference cycle per call.
+        assert build_parser() is build_parser()
+
 
 class TestWeingartenCommand:
     def test_no_evaluable_points(self, capsys):
@@ -107,6 +115,25 @@ class TestCurvatureCommand:
         assert main(["curvature", "--f", "u^2", "--g", "v^2", "--u", "1", "--v", "1"]) == 0
         out = capsys.readouterr().out
         assert "0.37037" in out and "0.049382" in out
+
+    @pytest.mark.parametrize(
+        "f, g, bad",
+        [("u*v", "v", "--f"), ("u^2", "sin(u) + v", "--g")],
+    )
+    def test_wrong_variable_rejected(self, capsys, f, g, bad):
+        # z = uv + v has K != 0; differentiating f in u alone would print K = 0.
+        assert main(["curvature", "--f", f, "--g", g, "--u", "2", "--v", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad} must be a function of")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_parse_error_exit_code(self, capsys):
+        assert main(["classify", "--f", "u^", "--g", "v"]) == 2
+        assert "position" in capsys.readouterr().err
+        # argparse passes "--f=--" on as an empty list, not a string.
+        assert main(["curvature", "--f=--", "--g=v", "--u=1", "--v=1"]) == 2
+        assert "end of input" in capsys.readouterr().err
 
 
 class TestScanCommand:
@@ -214,3 +241,53 @@ class TestVerifyWiring:
         # Every check is reachable from some target.
         reachable = {name for names in TARGETS.values() for name in names}
         assert reachable == set(CHECKS)
+
+
+# Fuzz inputs: well-formed expressions from the grammar, some past the
+# depth, degree and coefficient caps, overflowing, or in the wrong
+# variable; and loose token strings, which are mostly malformed.
+FUZZ_TOKENS = [
+    "u", "v", "2", "3/2", ".5", "99999999", " ", "+", "-", "*", "/", "^",
+    "^2", "^(1/3)", "^-1", "^99999999", "(", ")", "sin(", "log(", "sqrt(",
+    "(" * 60, "u+" * 60, "sin(" * 30,
+]
+_leaf = st.sampled_from(["u", "v", "0", "2", "3/2", ".5", "99999999"])
+
+
+def _grow(child):
+    return st.one_of(
+        st.tuples(child, st.sampled_from(["+", "-", "*", "/"]), child).map("".join),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]), child)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(child, st.sampled_from(["2", "(1/3)", "-1", "60", "99999999", "(7/2)"]))
+        .map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(child, st.sampled_from([30, 60])).map(lambda t: "(" * t[1] + t[0] + ")" * t[1]),
+        st.tuples(child, st.sampled_from([30, 60])).map(lambda t: "+".join([t[0]] * t[1])),
+    )
+
+
+fuzz_text = st.one_of(
+    st.recursive(_leaf, _grow, max_leaves=6),
+    st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=8).map("".join),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(fuzz_text, fuzz_text)
+    def test_exit_code_and_no_traceback(self, f, g):
+        # f with u and v swapped makes a g in the right variable when f is one.
+        mirrored = f.translate(str.maketrans("uv", "vu"))
+        for other in (g, mirrored):
+            for argv in (
+                ["classify", f"--f={f}", f"--g={other}"],
+                ["curvature", f"--f={f}", f"--g={other}", "--u=0.7", "--v=-0.4"],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's own usage errors
+                        code = exc.code
+                assert code in (0, 1, 2), argv
+                assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

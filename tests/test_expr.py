@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from transurf.expr import (
+    MAX_DEPTH,
     Const,
     DomainError,
     NotPolynomialError,
@@ -13,6 +14,7 @@ from transurf.expr import (
     ast_diff,
     ast_eval,
     expr_to_poly,
+    mentions,
     parse_expr,
     poly_to_expr,
     to_text,
@@ -174,3 +176,53 @@ class TestPolynomialBridge:
         assert expr_to_poly(parse_expr("(u + v)/2")) == Poly2(
             {(1, 0): F(1, 2), (0, 1): F(1, 2)}
         )
+
+
+class TestInputBounds:
+    def test_deep_parentheses_refused(self):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("(" * 300 + "u" + ")" * 300)
+
+    def test_long_sum_refused(self):
+        # A left-deep chain is as deep as it is long.
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("+".join(["u"] * 3000))
+
+    def test_deep_function_nesting_refused(self):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("sin(" * 60 + "u" + ")" * 60)
+
+    def test_depth_at_the_cap_accepted(self):
+        e = parse_expr("+".join(["u"] * MAX_DEPTH))
+        assert expr_to_poly(e) == Poly2.monomial(MAX_DEPTH, 1, 0)
+        # Parentheses alone add nesting, not tree depth.
+        assert parse_expr("(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1)) == parse_expr("u")
+
+    @pytest.mark.parametrize(
+        "text", ["(u+1)^99999999", "u^60*u^60", "(u^20)^6", "(u*v)^51"]
+    )
+    def test_degree_cap_before_expanding(self, text):
+        with pytest.raises(ValueError, match="degree"):
+            expr_to_poly(parse_expr(text))
+
+    def test_degree_at_the_cap_accepted(self):
+        assert expr_to_poly(parse_expr("(u+1)^100")).degree() == 100
+
+    def test_constant_power_size_cap(self):
+        with pytest.raises(ValueError, match="bits"):
+            expr_to_poly(parse_expr("2^99999999"))
+        assert expr_to_poly(parse_expr("2^100")) == Poly2.const(2**100)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflow"):
+            ast_eval(parse_expr("u^99999999"), 2.0, 0.0)
+        with pytest.raises(DomainError, match="overflow"):
+            ast_eval(parse_expr("exp(u)"), 1000.0, 0.0)
+
+    def test_derivative_of_huge_constant_power_is_zero(self):
+        assert ast_diff(parse_expr("2^99999999"), "u") == Const(F(0))
+
+    def test_mentions(self):
+        e = parse_expr("sin(u)^2 + log(abs(2*v))")
+        assert mentions(e, "u") and mentions(e, "v")
+        assert not mentions(parse_expr("exp(u)/3"), "v")

@@ -150,13 +150,3 @@ class TestEvaluation:
         x = RadExpr(PARA_DELTA, {-3: Poly2.const(1)})
         with pytest.raises(ValueError):
             x.eval_exact(0, 0)
-
-
-class TestConstancy:
-    def test_zero_and_scalars_are_constant(self):
-        assert RadExpr.zero(PARA_DELTA).is_constant()
-        assert RadExpr.from_poly(PARA_DELTA, 7).is_constant()
-
-    def test_gauss_curvature_of_paraboloid_not_constant(self):
-        k = RadExpr(PARA_DELTA, {-4: Poly2.const(4)})
-        assert not k.is_constant()
